@@ -13,6 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> allocation proofs at one and at the default number of test threads"
+# The counting allocators are thread-scoped, so each proof must hold no
+# matter what sibling tests or the harness do on other threads.
+for suite in "sesame-sim no_alloc" "sesame-net no_alloc_causal" \
+    "sesame-workloads zero_alloc"; do
+    read -r pkg test <<< "$suite"
+    cargo test -q -p "$pkg" --test "$test"
+    cargo test -q -p "$pkg" --test "$test" -- --test-threads=1
+done
+
 echo "==> cargo test --features verify (online verification)"
 cargo test -q -p sesame-dsm -p sesame-core --features verify
 

@@ -10,7 +10,7 @@
 use sesame_bench::Harness;
 use sesame_core::OptimisticConfig;
 use sesame_dsm::MachineConfig;
-use sesame_net::{Fabric, LinkTiming, MeshTorus2d, NodeId, SpanningTree};
+use sesame_net::{Fabric, LinkTiming, MeshTorus2d, MulticastRoute, NodeId};
 use sesame_sim::{SimDur, SimTime};
 use sesame_workloads::contention::{run_contention, ContentionConfig};
 
@@ -84,11 +84,12 @@ fn bench_multicast_vs_unicast() {
     let group = Harness::group("ablation_multicast");
     for nodes in [16usize, 64] {
         let topo = MeshTorus2d::with_nodes(nodes);
-        let tree = SpanningTree::build(&topo, NodeId::new(0));
         let members: Vec<NodeId> = (0..nodes as u32).map(NodeId::new).collect();
+        let tree = MulticastRoute::flood(&topo, NodeId::new(0), &members);
+        let mut arrivals = Vec::new();
         // Traversal counts are the figure of merit; print once.
         let mut mc = Fabric::new(LinkTiming::paper_1994());
-        mc.multicast(SimTime::ZERO, &tree, 64, &members);
+        mc.multicast_route_into(SimTime::ZERO, &tree, 64, &mut arrivals);
         let mut uc = Fabric::new(LinkTiming::paper_1994());
         for &m in &members[1..] {
             uc.unicast(SimTime::ZERO, &topo, NodeId::new(0), m, 64);
@@ -100,7 +101,7 @@ fn bench_multicast_vs_unicast() {
         );
         group.bench(&format!("tree/{nodes}"), || {
             let mut f = Fabric::new(LinkTiming::paper_1994());
-            f.multicast(SimTime::ZERO, &tree, 64, &members);
+            f.multicast_route_into(SimTime::ZERO, &tree, 64, &mut arrivals);
             f.stats().link_traversals
         });
         group.bench(&format!("unicast-fanout/{nodes}"), || {

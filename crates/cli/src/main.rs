@@ -209,6 +209,9 @@ fn cmd_fig2(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         ..TaskQueueConfig::default()
     };
+    for &nodes in &sizes {
+        cfg.validate(nodes).map_err(|e| e.to_string())?;
+    }
     let data = figure2_jobs(cfg, &sizes, parse_jobs(args)?);
     println!("{}", render(args, &[&data.ideal, &data.gwc, &data.entry])?);
     Ok(())
@@ -254,6 +257,9 @@ fn cmd_fig8(args: &Args) -> Result<(), String> {
         ),
         ..PipelineConfig::default()
     };
+    for &nodes in &sizes {
+        cfg.validate(nodes).map_err(|e| e.to_string())?;
+    }
     let data = figure8_jobs(cfg, &sizes, parse_jobs(args)?);
     println!(
         "{}",
@@ -300,9 +306,7 @@ fn cmd_bigmesh(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         ..defaults
     };
-    if (cfg.rows == 0) != (cfg.cols == 0) {
-        return Err("--rows and --cols must be given together".to_string());
-    }
+    cfg.validate().map_err(|e| e.to_string())?;
     let hostprof_out = args.get_str("--hostprof-out");
     #[cfg(not(feature = "hostprof"))]
     if hostprof_out.is_some() {

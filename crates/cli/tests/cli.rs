@@ -27,6 +27,28 @@ fn help_prints_usage_and_succeeds() {
 }
 
 #[test]
+fn degenerate_sizes_fail_with_an_error_not_a_panic() {
+    for args in [
+        &["bigmesh", "--nodes", "0"][..],
+        &["bigmesh", "--nodes", "1"],
+        &["bigmesh", "--nodes", "12", "--laps", "0"],
+        &["bigmesh", "--rows", "0", "--cols", "5"],
+        &["fig8", "--sizes", "0"],
+        &["fig8", "--sizes", "2", "--visits", "0"],
+        &["fig2", "--tasks", "0"],
+        &["fig2", "--sizes", "0"],
+        &["fig2", "--sizes", "1"],
+    ] {
+        let out = sesame(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = sesame(&["frobnicate"]);
     assert!(!out.status.success());

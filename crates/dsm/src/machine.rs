@@ -14,14 +14,12 @@
 //! [`Packet`](crate::Packet) wire protocol, so identical programs run under
 //! every model.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sesame_net::{
-    CauseId, ContentionModel, Fabric, LinkTiming, MulticastRoute, NodeId, SpanningTree, Topology,
-};
+use sesame_net::{CauseId, ContentionModel, Fabric, LinkTiming, MulticastRoute, NodeId, Topology};
 use sesame_sim::{
-    Actor, ActorId, BufferPool, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation,
-    TimeWeighted, TraceDetail, TraceRecorder,
+    Actor, ActorId, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted,
+    TraceDetail, TraceRecorder,
 };
 
 use crate::causal::CauseCtx;
@@ -58,21 +56,14 @@ pub enum DsmEvent {
     /// One wavefront of a pruned-multicast fan-out: the same payload
     /// arriving at several members at one instant, delivered as a single
     /// queue event instead of one event per member
-    /// ([`MachineConfig::pruned_multicast`]). Members are processed in
+    /// ([`MachineConfig::pruned_multicast`]). The member list is an index
+    /// into the group's [`MulticastRoute`] wave arena: under
+    /// contention-free, loss-free timing every fan-out over a route reaches
+    /// exactly the topology-static wave at its depth-determined instant, so
+    /// the event only needs `(group, wave)` — dispatch iterates the
+    /// precomputed slice and allocates nothing. Members are processed in
     /// declared group-member order, each with its own application-event
     /// cascade, exactly as if they had been separate events at this time.
-    McastBatch {
-        /// The members this wavefront reaches, in declared member order.
-        members: Vec<NodeId>,
-        /// The shared packet; [`Packet::to`] is overridden per member.
-        pkt: Packet,
-    },
-    /// Like [`DsmEvent::McastBatch`], but the member list is an index into
-    /// the group's [`MulticastRoute`] wave arena instead of an owned `Vec`:
-    /// under contention-free, loss-free timing every fan-out over a route
-    /// reaches exactly the topology-static wave at its depth-determined
-    /// instant, so the event only needs `(group, wave)` — dispatch iterates
-    /// the precomputed slice and allocates nothing.
     McastWave {
         /// The group whose cached route holds the wave arena.
         group: GroupId,
@@ -96,37 +87,29 @@ pub struct MachineConfig {
     /// Honor insharing suspension requests (Figure 4/5); disabling it
     /// demonstrates the lost-update hazard the paper describes.
     pub insharing_suspension: bool,
-    /// Route group multicasts over member-pruned
-    /// [`MulticastRoute`]s instead of flooding the full per-root
-    /// [`SpanningTree`], and batch same-instant member deliveries into one
-    /// [`DsmEvent::McastBatch`] queue event.
+    /// Which [`MulticastRoute`] each group multicasts over: the
+    /// member-pruned [`MulticastRoute::build`] when on, the
+    /// [`MulticastRoute::flood`] spanning every topology position when
+    /// off.
     ///
-    /// Off by default: under cut-through timing member arrival *times* are
-    /// identical either way, but the traffic accounting differs (pruned
-    /// routes bill only member-path edges to `link_traversals`/`ser_ns`,
-    /// the flood bills every topology edge) and batching changes the event
-    /// count — so the default stays byte-compatible with recorded
-    /// baselines. Turn it on for large sparse meshes (the 100k-node
-    /// scenario), where per-group flooding is quadratic in machine size.
+    /// Off by default, because the paper's figures bill the flood: under
+    /// cut-through timing member arrival *times* are identical either way,
+    /// but pruned routes bill only member-path edges to
+    /// `link_traversals`/`ser_ns`, where the flood bills `positions - 1`
+    /// edges per multicast. Turn it on for large sparse meshes (the
+    /// 100k-node scenario), where per-group flooding is quadratic in
+    /// machine size.
+    ///
+    /// The choice also shapes dispatch. A pruned route on a
+    /// contention-free, loss-free fabric with a nonzero hop latency
+    /// delivers each depth wave as one [`DsmEvent::McastWave`] queue event.
+    /// Every other multicast — the flood always, and a pruned route under
+    /// loss or store-and-forward links — queues one [`DsmEvent::Packet`]
+    /// per member. The flood keeps per-member events on purpose: the
+    /// `sesame-check` explorer treats each flood delivery as a packet on
+    /// its own `(root, member)` link whose delivery order it permutes, and
+    /// the recorded goldens count flood deliveries one queue event each.
     pub pruned_multicast: bool,
-    /// Emit pruned-multicast fan-outs as [`DsmEvent::McastWave`] indexes
-    /// into the route's topology-static wave arena whenever arrival times
-    /// are a pure function of hop depth (contention-free, loss-free fabric
-    /// with a nonzero hop latency). On that fast path a multicast performs
-    /// no per-call wave construction at all. Behavior-identical to the
-    /// generic path — same deliveries, same order, same trace; disable to
-    /// force the generic per-multicast construction (the reference
-    /// configuration for the equivalence property tests). No effect unless
-    /// [`MachineConfig::pruned_multicast`] is on.
-    pub static_waves: bool,
-    /// Recycle fan-out member buffers through a free-list
-    /// [`BufferPool`] on the generic pruned path (lossy or contended
-    /// fabrics, where wavefront membership must be materialized per
-    /// multicast). Pooling is semantics-invisible — buffers are cleared on
-    /// release and reused empty; disable to make every wavefront allocate
-    /// fresh (the reference configuration for the pooling equivalence
-    /// property test).
-    pub payload_pool: bool,
 }
 
 impl Default for MachineConfig {
@@ -135,8 +118,6 @@ impl Default for MachineConfig {
             hw_block: true,
             insharing_suspension: true,
             pruned_multicast: false,
-            static_waves: true,
-            payload_pool: true,
         }
     }
 }
@@ -150,14 +131,12 @@ pub struct Mx<'a, 'b> {
     mems: &'a mut [LocalMemory],
     groups: &'a GroupTable,
     topo: &'a dyn Topology,
-    trees: &'a mut HashMap<NodeId, SpanningTree>,
     routes: &'a mut [Option<MulticastRoute>],
     fabric: &'a mut Fabric,
     cfg: &'a MachineConfig,
     ctx: &'a mut Context<'b, MachineMsg>,
     app_outbox: &'a mut VecDeque<(NodeId, AppEvent, CauseId)>,
     causes: &'a mut CauseCtx,
-    pool: &'a mut BufferPool<NodeId>,
     arrivals: &'a mut Vec<(NodeId, SimTime)>,
 }
 
@@ -226,193 +205,133 @@ impl Mx<'_, '_> {
     }
 
     /// Multicasts one sequenced write down `group`'s multicast route to
-    /// every member; each member's copy arrives at its hop-depth-determined
+    /// every member; each member's copy arrives at its fabric-computed
     /// time. The root member (if any) receives its echo immediately.
     ///
-    /// Routing structures are built lazily on a group's first multicast and
-    /// cached: full [`SpanningTree`]s are shared between all groups with
-    /// the same root (the default), member-pruned [`MulticastRoute`]s are
-    /// per group ([`MachineConfig::pruned_multicast`]). Both are pure
-    /// functions of the topology and the validated group specs, so lazy
-    /// construction cannot perturb determinism.
+    /// A group's [`MulticastRoute`] is built lazily on its first multicast
+    /// and cached: the flood or the member-pruned route, per
+    /// [`MachineConfig::pruned_multicast`]. Both are pure functions of the
+    /// topology and the validated group specs, so lazy construction cannot
+    /// perturb determinism.
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
         let target = self.ctx.self_id();
-        if self.cfg.pruned_multicast {
-            let route = self.routes[group.index()]
-                .get_or_insert_with(|| MulticastRoute::build(self.topo, root, g.members()));
-            // Fast path: under contention-free, loss-free timing with a
-            // nonzero hop latency, a member's arrival instant is a pure
-            // function of its hop depth — so the route's topology-static
-            // wave arena IS the fan-out, and nothing is materialized per
-            // multicast. (Nonzero hop latency guarantees distinct depths
-            // land at distinct instants, so depth grouping and arrival-time
-            // grouping coincide; zero loss means the generic path's loss
-            // rolls would not have consumed RNG either.)
-            if self.cfg.static_waves
-                && self.fabric.contention() == ContentionModel::None
-                && self.fabric.loss_probability() == 0.0
-                && self.fabric.timing().hop_latency > SimDur::ZERO
-            {
-                self.fabric.bill_multicast_route(route, bytes);
-                let timing = self.fabric.timing();
-                let depth_at = |d: u32| {
-                    // The root echo (depth 0) is local and immediate; depth
-                    // d >= 1 costs one serialization plus d hop latencies.
-                    if d == 0 {
-                        self.now
-                    } else {
-                        self.now + timing.transfer(d, bytes)
-                    }
-                };
-                if self.ctx.tracing() {
-                    // Canonical multicast event: `last_ns` is the latest
-                    // member arrival, the end of the whole fan-out interval.
-                    let last = depth_at(route.max_depth());
-                    self.ctx.trace_for(
-                        root.index(),
-                        "pkt-mcast",
-                        TraceDetail::Multicast {
-                            group: group.get(),
-                            bytes,
-                            members: route.member_count() as u32,
-                            last_ns: last.as_nanos(),
-                        },
-                    );
-                }
-                // One mcast id covers the whole fan-out: every member's
-                // packet carries it, so each arrival chains back to this
-                // decision.
-                let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-                for w in 0..route.wave_count() {
-                    let at = depth_at(route.wave_depth(w));
-                    let wave = route.wave(w);
-                    let pkt = Packet {
-                        from: root,
-                        to: wave[0],
-                        bytes,
-                        kind,
-                        cause,
-                    };
-                    let ev = if wave.len() == 1 {
-                        DsmEvent::Packet(pkt)
-                    } else {
-                        DsmEvent::McastWave {
-                            group,
-                            wave: w as u32,
-                            pkt,
-                        }
-                    };
-                    self.ctx.send_at(target, at, (pkt.to, ev));
-                }
-                return;
+        let pruned = self.cfg.pruned_multicast;
+        let route = self.routes[group.index()].get_or_insert_with(|| {
+            if pruned {
+                MulticastRoute::build(self.topo, root, g.members())
+            } else {
+                MulticastRoute::flood(self.topo, root, g.members())
             }
-            // Generic pruned path: loss and/or contention make wavefront
-            // membership (or arrival times) depend on per-multicast state,
-            // so waves are materialized here — with member buffers recycled
-            // through the payload pool.
-            self.fabric
-                .multicast_route_into(self.now, route, bytes, self.arrivals);
-            if self.ctx.tracing() {
-                let last = self
-                    .arrivals
-                    .iter()
-                    .map(|&(_, at)| at)
-                    .max()
-                    .unwrap_or(self.now);
-                self.ctx.trace_for(
-                    root.index(),
-                    "pkt-mcast",
-                    TraceDetail::Multicast {
-                        group: group.get(),
-                        bytes,
-                        members: self.arrivals.len() as u32,
-                        last_ns: last.as_nanos(),
-                    },
-                );
-            }
-            let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-            // Batch the fan-out: members at the same arrival instant share
-            // one queue event, so a 100k-member wave costs O(wavefronts)
-            // events instead of O(members). BTreeMap keeps wavefronts in
-            // time order; within one wavefront members stay in declared
-            // order (the order `arrivals` was produced in).
-            let mut waves: BTreeMap<SimTime, Vec<NodeId>> = BTreeMap::new();
-            for i in 0..self.arrivals.len() {
-                let (member, at) = self.arrivals[i];
-                // Per-member loss, rolled in the same declared-member order
-                // as the unbatched path so loss RNG streams line up.
-                if member != root && self.fabric.roll_loss() {
-                    continue;
-                }
-                waves
-                    .entry(at)
-                    .or_insert_with(|| self.pool.acquire())
-                    .push(member);
-            }
-            for (at, members) in waves {
-                let pkt = Packet {
-                    from: root,
-                    to: members[0],
-                    bytes,
-                    kind,
-                    cause,
-                };
-                let ev = if members.len() == 1 {
-                    self.pool.release(members);
-                    DsmEvent::Packet(pkt)
+        });
+        // Static waves: under contention-free, loss-free timing with a
+        // nonzero hop latency, a member's arrival instant is a pure function
+        // of its hop depth — so the route's topology-static wave arena IS
+        // the fan-out, and nothing is materialized per multicast. (Nonzero
+        // hop latency guarantees distinct depths land at distinct instants,
+        // so depth grouping and arrival-time grouping coincide; zero loss
+        // means no member's delivery depends on a loss roll.)
+        if pruned
+            && self.fabric.contention() == ContentionModel::None
+            && self.fabric.loss_probability() == 0.0
+            && self.fabric.timing().hop_latency > SimDur::ZERO
+        {
+            self.fabric.bill_multicast_route(route, bytes);
+            let timing = self.fabric.timing();
+            let depth_at = |d: u32| {
+                // The root echo (depth 0) is local and immediate; depth
+                // d >= 1 costs one serialization plus d hop latencies.
+                if d == 0 {
+                    self.now
                 } else {
-                    DsmEvent::McastBatch { members, pkt }
-                };
-                self.ctx.send_at(target, at, (pkt.to, ev));
-            }
-        } else {
-            let tree = self
-                .trees
-                .entry(root)
-                .or_insert_with(|| SpanningTree::build(self.topo, root));
-            self.fabric
-                .multicast_into(self.now, tree, bytes, g.members(), self.arrivals);
+                    self.now + timing.transfer(d, bytes)
+                }
+            };
             if self.ctx.tracing() {
                 // Canonical multicast event: `last_ns` is the latest member
                 // arrival, the end of the whole fan-out interval.
-                let last = self
-                    .arrivals
-                    .iter()
-                    .map(|&(_, at)| at)
-                    .max()
-                    .unwrap_or(self.now);
+                let last = depth_at(route.max_depth());
                 self.ctx.trace_for(
                     root.index(),
                     "pkt-mcast",
                     TraceDetail::Multicast {
                         group: group.get(),
                         bytes,
-                        members: self.arrivals.len() as u32,
+                        members: route.member_count() as u32,
                         last_ns: last.as_nanos(),
                     },
                 );
             }
+            // One mcast id covers the whole fan-out: every member's packet
+            // carries it, so each arrival chains back to this decision.
             let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-            for i in 0..self.arrivals.len() {
-                let (member, at) = self.arrivals[i];
-                // Per-member loss (the root's own echo is a local operation
-                // and never lost); members recover via nack-triggered
-                // retransmission.
-                if member != root && self.fabric.roll_loss() {
-                    continue;
-                }
+            for w in 0..route.wave_count() {
+                let at = depth_at(route.wave_depth(w));
+                let wave = route.wave(w);
                 let pkt = Packet {
                     from: root,
-                    to: member,
+                    to: wave[0],
                     bytes,
                     kind,
                     cause,
                 };
-                self.ctx
-                    .send_at(target, at, (member, DsmEvent::Packet(pkt)));
+                let ev = if wave.len() == 1 {
+                    DsmEvent::Packet(pkt)
+                } else {
+                    DsmEvent::McastWave {
+                        group,
+                        wave: w as u32,
+                        pkt,
+                    }
+                };
+                self.ctx.send_at(target, at, (pkt.to, ev));
             }
+            return;
+        }
+        // One packet event per member: the fabric walks the route for
+        // per-member arrival times (store-and-forward queueing makes them
+        // depend on earlier traffic), and each member rolls its own loss.
+        self.fabric
+            .multicast_route_into(self.now, route, bytes, self.arrivals);
+        if self.ctx.tracing() {
+            // Canonical multicast event: `last_ns` is the latest member
+            // arrival, the end of the whole fan-out interval.
+            let last = self
+                .arrivals
+                .iter()
+                .map(|&(_, at)| at)
+                .max()
+                .unwrap_or(self.now);
+            self.ctx.trace_for(
+                root.index(),
+                "pkt-mcast",
+                TraceDetail::Multicast {
+                    group: group.get(),
+                    bytes,
+                    members: self.arrivals.len() as u32,
+                    last_ns: last.as_nanos(),
+                },
+            );
+        }
+        let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
+        for i in 0..self.arrivals.len() {
+            let (member, at) = self.arrivals[i];
+            // Per-member loss (the root's own echo is a local operation and
+            // never lost); members recover via nack-triggered
+            // retransmission.
+            if member != root && self.fabric.roll_loss() {
+                continue;
+            }
+            let pkt = Packet {
+                from: root,
+                to: member,
+                bytes,
+                kind,
+                cause,
+            };
+            self.ctx
+                .send_at(target, at, (member, DsmEvent::Packet(pkt)));
         }
     }
 
@@ -569,13 +488,11 @@ pub struct Machine<M: Model> {
     topo: Box<dyn Topology>,
     fabric: Fabric,
     groups: GroupTable,
-    /// Full spanning trees, built lazily on first multicast and shared by
-    /// every group with the same root (a tree depends only on the root).
-    trees: HashMap<NodeId, SpanningTree>,
-    /// Member-pruned routes, built lazily per group when
-    /// [`MachineConfig::pruned_multicast`] is on. Group ids are dense, so
-    /// this is a direct-indexed vector: wave dispatch resolves its route
-    /// with one bounds-checked load instead of a hash probe per event.
+    /// Multicast routes, built lazily per group on its first multicast
+    /// ([`MachineConfig::pruned_multicast`] picks the shape). Group ids are
+    /// dense, so this is a direct-indexed vector: wave dispatch resolves
+    /// its route with one bounds-checked load instead of a hash probe per
+    /// event.
     routes: Vec<Option<MulticastRoute>>,
     mems: Vec<LocalMemory>,
     cpus: Vec<CpuMeter>,
@@ -583,9 +500,6 @@ pub struct Machine<M: Model> {
     model: M,
     cfg: MachineConfig,
     causes: CauseCtx,
-    /// Free list of recycled fan-out member buffers
-    /// ([`MachineConfig::payload_pool`]).
-    pool: BufferPool<NodeId>,
     /// Arrival-list scratch reused by every multicast, so steady-state
     /// dispatch performs no per-call allocation.
     arrivals: Vec<(NodeId, SimTime)>,
@@ -630,7 +544,7 @@ impl<M: Model> Machine<M> {
             topo.len(),
             "one program per CPU node is required"
         );
-        // Trees and routes are built lazily (on a group's first multicast),
+        // Routes are built lazily (on a group's first multicast),
         // but root validity is still checked eagerly so a bad group spec
         // fails at assembly, not mid-run.
         for g in groups.iter() {
@@ -647,7 +561,6 @@ impl<M: Model> Machine<M> {
             topo,
             fabric: Fabric::new(timing),
             groups,
-            trees: HashMap::new(),
             routes: (0..n_groups).map(|_| None).collect(),
             mems: vec![LocalMemory::new(); n],
             cpus: vec![CpuMeter::default(); n],
@@ -655,11 +568,6 @@ impl<M: Model> Machine<M> {
             model,
             cfg,
             causes: CauseCtx::new(),
-            pool: if cfg.payload_pool {
-                BufferPool::new()
-            } else {
-                BufferPool::disabled()
-            },
             arrivals: Vec::new(),
             wave_scratch: Vec::new(),
             app_q: VecDeque::new(),
@@ -817,13 +725,11 @@ impl<M: Model> Machine<M> {
             topo,
             fabric,
             groups,
-            trees,
             routes,
             mems,
             model,
             cfg,
             causes,
-            pool,
             arrivals,
             ..
         } = self;
@@ -832,14 +738,12 @@ impl<M: Model> Machine<M> {
             mems,
             groups,
             topo: topo.as_ref(),
-            trees,
             routes,
             fabric,
             cfg,
             ctx,
             app_outbox: app_q,
             causes,
-            pool,
             arrivals,
         };
         f(model, &mut mx)
@@ -1040,26 +944,13 @@ impl<M: Model> Actor for Machine<M> {
                 self.causes.set_current(pkt.cause);
                 self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(node, pkt, mx));
             }
-            DsmEvent::McastBatch { members, pkt } => {
+            DsmEvent::McastWave { group, wave, pkt } => {
                 // One queue event carries a whole fan-out wavefront; each
                 // member still gets its own packet delivery and cascade, in
                 // declared member order, as if they were separate events at
-                // this instant.
-                for &m in &members {
-                    self.causes.set_current(pkt.cause);
-                    let p = Packet { to: m, ..pkt };
-                    self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(m, p, mx));
-                    self.drain(&mut app_q, ctx);
-                }
-                // Recycle the member buffer for the next materialized
-                // wavefront.
-                self.pool.release(members);
-            }
-            DsmEvent::McastWave { group, wave, pkt } => {
-                // Same delivery semantics as `McastBatch`, but the member
-                // list is the route's topology-static wave slice. It is
-                // copied into scratch first because delivering to a member
-                // borrows the whole machine mutably.
+                // this instant. The wave slice is copied into scratch first
+                // because delivering to a member borrows the whole machine
+                // mutably.
                 let route = self.routes[group.index()]
                     .as_ref()
                     .expect("McastWave event for a group whose route was never built");

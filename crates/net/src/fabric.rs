@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use sesame_sim::{DetRng, SimTime};
 
-use crate::{LinkId, LinkTiming, MulticastRoute, NodeId, SpanningTree, Topology};
+use crate::{LinkId, LinkTiming, MulticastRoute, NodeId, Topology};
 
 /// How the fabric accounts for link occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -220,103 +220,20 @@ impl Fabric {
         Delivery::Delivered(self.unicast(now, topo, src, dst, bytes))
     }
 
-    /// Propagates one packet down a group's spanning tree from its root,
-    /// returning the arrival time at every requested member.
+    /// Propagates one packet down a [`MulticastRoute`] from its root,
+    /// writing the arrival time at every member into `out` (cleared
+    /// first), in the route's declared member order.
     ///
-    /// Each tree edge is traversed once no matter how many members sit below
-    /// it — the bandwidth advantage of tree multicast over unicast fan-out.
-    /// The root itself "receives" at `now` if it is in `members`.
-    pub fn multicast(
-        &mut self,
-        now: SimTime,
-        tree: &SpanningTree,
-        bytes: u32,
-        members: &[NodeId],
-    ) -> Vec<(NodeId, SimTime)> {
-        let mut out = Vec::with_capacity(members.len());
-        self.multicast_into(now, tree, bytes, members, &mut out);
-        out
-    }
-
-    /// Like [`Fabric::multicast`], but writes the arrival list into a
-    /// caller-provided buffer (cleared first) instead of allocating one —
-    /// the dispatch hot path reuses a single buffer across every fan-out.
-    pub fn multicast_into(
-        &mut self,
-        now: SimTime,
-        tree: &SpanningTree,
-        bytes: u32,
-        members: &[NodeId],
-        out: &mut Vec<(NodeId, SimTime)>,
-    ) {
-        self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
-        // Arrival time per position, computed in BFS order so parents are
-        // final before children. The scratch is a fabric field: steady
-        // state re-fills it in place.
-        self.arrival_scratch.clear();
-        self.arrival_scratch.resize(tree.len(), SimTime::MAX);
-        let ser = self.timing.serialization(bytes);
-        self.arrival_scratch[tree.root().index()] = now;
-        for pos in tree.bfs_order() {
-            let t_here = self.arrival_scratch[pos.index()];
-            for &child in tree.children(pos) {
-                self.stats.link_traversals += 1;
-                self.stats.ser_ns += ser.as_nanos();
-                self.arrival_scratch[child.index()] = match self.contention {
-                    // Cut-through: the root clocks the packet out once, then
-                    // the wavefront advances one hop latency per tree edge.
-                    ContentionModel::None => {
-                        let base = if pos == tree.root() {
-                            t_here + ser
-                        } else {
-                            t_here
-                        };
-                        base + self.timing.hop_latency
-                    }
-                    // Store-and-forward: every tree edge re-serializes and
-                    // queues behind earlier traffic on that link.
-                    ContentionModel::StoreAndForward => {
-                        let link = LinkId::between(pos, child);
-                        let free = self.busy_until.get(&link).copied().unwrap_or(SimTime::ZERO);
-                        let start = t_here.max(free);
-                        self.busy_until.insert(link, start + ser);
-                        start + ser + self.timing.hop_latency
-                    }
-                };
-            }
-        }
-        out.clear();
-        out.extend(
-            members
-                .iter()
-                .map(|&m| (m, self.arrival_scratch[m.index()])),
-        );
-    }
-
-    /// Propagates one packet down a member-pruned [`MulticastRoute`],
-    /// returning arrival times in the route's declared member order.
-    ///
-    /// Semantics match [`Fabric::multicast`] over the full spanning tree —
-    /// under cut-through timing each member's arrival depends only on its
-    /// shortest-path depth, so the two produce identical arrival lists —
-    /// but only the pruned edge set is traversed (and billed to
-    /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`]): work is
-    /// `O(route nodes)` instead of `O(topology positions)`. The root
-    /// "receives" its own echo at `now`.
-    pub fn multicast_route(
-        &mut self,
-        now: SimTime,
-        route: &MulticastRoute,
-        bytes: u32,
-    ) -> Vec<(NodeId, SimTime)> {
-        let mut out = Vec::with_capacity(route.member_count());
-        self.multicast_route_into(now, route, bytes, &mut out);
-        out
-    }
-
-    /// Like [`Fabric::multicast_route`], but writes the arrival list into
-    /// a caller-provided buffer (cleared first) instead of allocating one.
+    /// Each route edge is traversed — and billed to
+    /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`] — once, no
+    /// matter how many members sit below it: the bandwidth advantage of
+    /// tree multicast over unicast fan-out. Work is `O(route nodes)`: every
+    /// position for a [`MulticastRoute::flood`], only the member paths for
+    /// a pruned [`MulticastRoute::build`]. Under cut-through timing a
+    /// member's arrival depends only on its hop depth, so both shapes
+    /// deliver at identical instants. The root "receives" its own echo at
+    /// `now`. The arrival scratch is a fabric field and `out` is the
+    /// caller's, so steady-state multicasts allocate nothing.
     pub fn multicast_route_into(
         &mut self,
         now: SimTime,
@@ -363,8 +280,8 @@ impl Fabric {
 
     /// Bills one multicast over `route` to the traffic counters without
     /// computing arrival times: exactly the accounting
-    /// [`Fabric::multicast_route`] performs (one packet, every pruned edge
-    /// traversed once). The dispatch fast path uses this when arrivals are
+    /// [`Fabric::multicast_route_into`] performs (one packet, every route
+    /// edge traversed once). The dispatch fast path uses this when arrivals are
     /// determined by the route's precomputed waves alone — i.e. under
     /// cut-through timing, where a member's arrival is a pure function of
     /// its hop depth.
@@ -430,18 +347,30 @@ mod tests {
         assert_eq!(arr, SimTime::from_nanos(2 * (1_000 + 200)));
     }
 
+    fn flood_arrivals(
+        f: &mut Fabric,
+        topo: &dyn Topology,
+        root: NodeId,
+        bytes: u32,
+        members: &[NodeId],
+    ) -> Vec<(NodeId, SimTime)> {
+        let route = MulticastRoute::flood(topo, root, members);
+        let mut out = Vec::new();
+        f.multicast_route_into(SimTime::ZERO, &route, bytes, &mut out);
+        out
+    }
+
     #[test]
     fn multicast_arrival_matches_tree_depth() {
         let topo = MeshTorus2d::new(4, 4);
-        let tree = SpanningTree::build(&topo, n(5));
         let mut f = paper_fabric();
         let members: Vec<NodeId> = (0..16).map(n).collect();
-        let arrivals = f.multicast(SimTime::ZERO, &tree, 125, &members);
+        let arrivals = flood_arrivals(&mut f, &topo, n(5), 125, &members);
         for (m, t) in arrivals {
             let expect = if m == n(5) {
                 SimTime::ZERO
             } else {
-                SimTime::from_nanos(1_000 + 200 * tree.depth(m) as u64)
+                SimTime::from_nanos(1_000 + 200 * topo.hops(n(5), m) as u64)
             };
             assert_eq!(t, expect, "member {m}");
         }
@@ -450,23 +379,25 @@ mod tests {
     #[test]
     fn multicast_counts_each_tree_edge_once() {
         let topo = Ring::new(8);
-        let tree = SpanningTree::build(&topo, n(0));
         let mut f = paper_fabric();
         let members: Vec<NodeId> = (0..8).map(n).collect();
-        f.multicast(SimTime::ZERO, &tree, 64, &members);
+        flood_arrivals(&mut f, &topo, n(0), 64, &members);
         // A ring spanning tree has exactly 7 edges.
         assert_eq!(f.stats().link_traversals, 7);
         assert_eq!(f.stats().packets, 1);
+        assert_eq!(
+            f.stats().ser_ns,
+            7 * f.timing().serialization(64).as_nanos()
+        );
     }
 
     #[test]
     fn unicast_fanout_uses_more_traversals_than_multicast() {
         let topo = MeshTorus2d::new(4, 4);
-        let tree = SpanningTree::build(&topo, n(0));
         let members: Vec<NodeId> = (1..16).map(n).collect();
 
         let mut mc = paper_fabric();
-        mc.multicast(SimTime::ZERO, &tree, 64, &members);
+        flood_arrivals(&mut mc, &topo, n(0), 64, &members);
 
         let mut uc = paper_fabric();
         for &m in &members {

@@ -1,57 +1,65 @@
-//! Member-pruned multicast routes, built incrementally from unicast paths.
+//! Group multicast routes: the tree of links one group write travels.
 //!
-//! [`SpanningTree`](crate::SpanningTree) materializes a full BFS tree over
-//! *every* position of the topology — `O(positions)` memory per distinct
-//! root, and `O(positions)` work per multicast to walk it. That is the
-//! right structure when a group spans the whole machine, but a 100k-node
-//! mesh hosting thousands of small groups would spend almost all of its
-//! memory and multicast time on positions that never receive anything.
+//! Sesame's sharing hardware sends each sequenced group write once down a
+//! tree rooted at the group root; every tree edge is one physical hop, so
+//! a member's arrival depth is its shortest-path distance from the root.
+//! [`MulticastRoute`] is that tree, in one of two shapes:
 //!
-//! [`MulticastRoute`] is the pruned alternative: the union of the
-//! topology's deterministic shortest paths from the root to each *member*,
-//! stored over a compact local index space that contains only the positions
-//! those paths touch. Construction costs `O(sum of member path lengths)`
-//! and a multicast walks exactly the pruned edge set.
+//! * [`MulticastRoute::flood`] — a breadth-first spanning tree over *every*
+//!   topology position: the paper's per-group multicast tree, which the
+//!   figures bill (`positions - 1` edges per multicast).
+//! * [`MulticastRoute::build`] — the member-pruned tree: the union of the
+//!   topology's deterministic shortest paths from the root to each
+//!   *member*, materializing only the positions those paths touch. A
+//!   100k-node mesh hosting thousands of small groups walks and bills only
+//!   the edges that lead to members.
+//!
+//! Both are stored the same way — a compact local index space whose
+//! parents precede their children — so [`Fabric`](crate::Fabric) has one
+//! walk for both.
 //!
 //! # Determinism and equivalence
 //!
 //! * Construction is a pure function of `(topology, root, member order)`:
-//!   [`Topology::route`] is deterministic, members are walked in declared
-//!   order, and first-wins parent assignment breaks any tie the same way
-//!   every run. No hashing, no RNG.
-//! * Under cut-through timing (the paper's model) a member's arrival time
-//!   depends only on its hop depth, and every route is a shortest path — so
-//!   arrival times equal what [`Fabric::multicast`](crate::Fabric::multicast)
-//!   computes over the full BFS tree. Only the *traffic accounting*
-//!   differs: the pruned route traverses (and bills) only edges that lead
-//!   to members, while the full tree floods every position.
+//!   neighbour lists and [`Topology::route`] are deterministic, and
+//!   first-found parent assignment breaks any tie the same way every run.
+//!   No RNG, and no iteration over hashed containers.
+//! * Every root-to-node path in either shape is a shortest path, so under
+//!   cut-through timing (the paper's model) a member's arrival time depends
+//!   only on its hop depth, and both shapes deliver at identical instants.
+//!   Only the *traffic accounting* differs: the pruned route traverses (and
+//!   bills) only edges that lead to members, while the flood bills every
+//!   position.
+
+use std::collections::HashMap;
 
 use crate::{NodeId, Topology};
 
-/// The union of deterministic shortest paths from one root to each group
-/// member, indexed compactly over just the positions those paths visit.
+/// A multicast tree rooted at one node, over a compact local index space,
+/// with the group members' deliveries precomputed into depth waves.
 ///
 /// Local index `0` is always the root; every other node's parent appears
 /// at a smaller local index, so walking `1..len` visits parents before
 /// children — the order a downstream multicast wave advances.
 ///
 /// ```
-/// use sesame_net::{MeshTorus2d, MulticastRoute, NodeId};
+/// use sesame_net::{MeshTorus2d, MulticastRoute, NodeId, Topology};
 ///
 /// let topo = MeshTorus2d::new(32, 32); // 1024 positions
 /// let members = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
+/// // Only the positions on the root->member paths are materialized...
 /// let route = MulticastRoute::build(&topo, NodeId::new(0), &members);
-/// // Only the positions on the root->member paths are materialized.
 /// assert_eq!(route.len(), 3);
 /// assert_eq!(route.edge_count(), 2);
+/// // ...while the flood spans every position.
+/// let flood = MulticastRoute::flood(&topo, NodeId::new(0), &members);
+/// assert_eq!(flood.edge_count(), topo.positions() - 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulticastRoute {
     root: NodeId,
     /// Local index -> position. `nodes[0]` is the root.
     nodes: Vec<NodeId>,
-    /// Sorted `(position, local index)` pairs for membership lookup.
-    index: Vec<(NodeId, u32)>,
     /// Local parent index; `parent[0] == 0` (the root is its own parent).
     parent: Vec<u32>,
     /// Hop depth from the root (equals the topology's shortest-path hops).
@@ -70,6 +78,56 @@ pub struct MulticastRoute {
 }
 
 impl MulticastRoute {
+    /// Builds the flood route rooted at `root`: a breadth-first spanning
+    /// tree over every position of `topo`, delivering to `members`.
+    ///
+    /// Neighbours are visited in [`Topology::neighbors`] order and each
+    /// position keeps the first parent that reaches it, so every tree edge
+    /// is one hop and every depth is the shortest-path distance. The local
+    /// index order is the breadth-first discovery order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` or a member is not a valid topology position, or if
+    /// the topology is disconnected (every provided topology is connected).
+    pub fn flood(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
+        let positions = topo.positions();
+        assert!(root.index() < positions, "root out of range");
+        // Position -> local index; `u32::MAX` marks "not yet reached".
+        let mut local = vec![u32::MAX; positions];
+        local[root.index()] = 0;
+        let mut nodes = Vec::with_capacity(positions);
+        let mut parent = Vec::with_capacity(positions);
+        let mut depth = Vec::with_capacity(positions);
+        nodes.push(root);
+        parent.push(0);
+        depth.push(0);
+        // `nodes` doubles as the breadth-first queue: `head` is the next
+        // position to expand, everything after it is discovered but not
+        // yet expanded.
+        let mut head = 0;
+        while head < nodes.len() {
+            for nb in topo.neighbors(nodes[head]) {
+                if local[nb.index()] == u32::MAX {
+                    local[nb.index()] = nodes.len() as u32;
+                    nodes.push(nb);
+                    parent.push(head as u32);
+                    depth.push(depth[head] + 1);
+                }
+            }
+            head += 1;
+        }
+        assert_eq!(nodes.len(), positions, "topology is disconnected");
+        let members = members
+            .iter()
+            .map(|m| {
+                assert!(m.index() < positions, "member out of range");
+                local[m.index()]
+            })
+            .collect();
+        Self::assemble(root, nodes, parent, depth, members)
+    }
+
     /// Builds the pruned route for `members` rooted at `root` by walking
     /// `topo`'s deterministic shortest path to each member in declared
     /// order and unioning the paths (first-wins parent assignment).
@@ -81,88 +139,75 @@ impl MulticastRoute {
     /// indicate a broken [`Topology::route`] implementation).
     pub fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
         assert!(root.index() < topo.positions(), "root out of range");
-        let mut route = MulticastRoute {
-            root,
-            nodes: vec![root],
-            index: vec![(root, 0)],
-            parent: vec![0],
-            depth: vec![0],
-            members: Vec::with_capacity(members.len()),
-            wave_nodes: Vec::with_capacity(members.len()),
-            wave_offsets: vec![0],
-            wave_depths: Vec::new(),
-        };
+        let mut nodes = vec![root];
+        let mut parent = vec![0u32];
+        let mut depth = vec![0u32];
+        // Position -> local index, only consulted while building.
+        let mut local: HashMap<NodeId, u32> = HashMap::from([(root, 0)]);
+        let mut path = Vec::new();
+        let mut member_locals = Vec::with_capacity(members.len());
         for &m in members {
-            route.add_member(topo, m);
-        }
-        route
-    }
-
-    /// Adds one member, extending the route union with any positions its
-    /// shortest path introduces. Called in declared member order by
-    /// [`MulticastRoute::build`]; exposed for incremental construction.
-    pub fn add_member(&mut self, topo: &dyn Topology, member: NodeId) {
-        assert!(member.index() < topo.positions(), "member out of range");
-        let mut at = 0u32; // local index of the walk position (starts at root)
-        for link in topo.route(self.root, member) {
-            debug_assert_eq!(link.from_node(), self.nodes[at as usize]);
-            let next = link.to_node();
-            at = match self.local_index(next) {
-                Some(existing) => {
-                    // Already reached along an earlier member's path. Both
-                    // paths are shortest, so the depths must agree.
-                    debug_assert_eq!(self.depth[existing as usize], self.depth[at as usize] + 1);
-                    existing
-                }
-                None => {
-                    let idx = self.nodes.len() as u32;
-                    self.nodes.push(next);
-                    self.parent.push(at);
-                    self.depth.push(self.depth[at as usize] + 1);
-                    let pos = self
-                        .index
-                        .binary_search_by_key(&next, |&(n, _)| n)
-                        .unwrap_err();
-                    self.index.insert(pos, (next, idx));
-                    idx
-                }
-            };
-        }
-        self.members.push(at);
-        self.wave_insert(at);
-    }
-
-    /// Slots one member into the wave arena: appended to the wave of its
-    /// hop depth (keeping declared member order within the wave), with a
-    /// new wave spliced in when this depth is the first of its kind.
-    fn wave_insert(&mut self, member: u32) {
-        let d = self.depth[member as usize];
-        let node = self.nodes[member as usize];
-        match self.wave_depths.binary_search(&d) {
-            Ok(w) => {
-                let end = self.wave_offsets[w + 1] as usize;
-                self.wave_nodes.insert(end, node);
-                for off in &mut self.wave_offsets[w + 1..] {
-                    *off += 1;
-                }
+            assert!(m.index() < topo.positions(), "member out of range");
+            let mut at = 0u32; // local index of the walk position
+            topo.route_into(root, m, &mut path);
+            for link in &path {
+                debug_assert_eq!(link.from_node(), nodes[at as usize]);
+                let next = link.to_node();
+                at = match local.get(&next) {
+                    Some(&existing) => {
+                        // Already reached along an earlier member's path.
+                        // Both paths are shortest, so the depths agree.
+                        debug_assert_eq!(depth[existing as usize], depth[at as usize] + 1);
+                        existing
+                    }
+                    None => {
+                        let idx = nodes.len() as u32;
+                        nodes.push(next);
+                        parent.push(at);
+                        depth.push(depth[at as usize] + 1);
+                        local.insert(next, idx);
+                        idx
+                    }
+                };
             }
-            Err(w) => {
-                let start = self.wave_offsets[w] as usize;
-                self.wave_nodes.insert(start, node);
-                self.wave_depths.insert(w, d);
-                self.wave_offsets.insert(w + 1, self.wave_offsets[w] + 1);
-                for off in &mut self.wave_offsets[w + 2..] {
-                    *off += 1;
-                }
+            member_locals.push(at);
+        }
+        Self::assemble(root, nodes, parent, depth, member_locals)
+    }
+
+    /// Finishes a route from its tree and the members' local indices by
+    /// grouping the members into depth waves (a stable sort, so members
+    /// keep declared order within a wave).
+    fn assemble(
+        root: NodeId,
+        nodes: Vec<NodeId>,
+        parent: Vec<u32>,
+        depth: Vec<u32>,
+        members: Vec<u32>,
+    ) -> Self {
+        let mut by_depth = members.clone();
+        by_depth.sort_by_key(|&i| depth[i as usize]);
+        let mut wave_offsets = Vec::new();
+        let mut wave_depths = Vec::new();
+        for (k, &i) in by_depth.iter().enumerate() {
+            let d = depth[i as usize];
+            if wave_depths.last() != Some(&d) {
+                wave_offsets.push(k as u32);
+                wave_depths.push(d);
             }
         }
-    }
-
-    fn local_index(&self, n: NodeId) -> Option<u32> {
-        self.index
-            .binary_search_by_key(&n, |&(m, _)| m)
-            .ok()
-            .map(|i| self.index[i].1)
+        wave_offsets.push(by_depth.len() as u32);
+        let wave_nodes = by_depth.iter().map(|&i| nodes[i as usize]).collect();
+        MulticastRoute {
+            root,
+            nodes,
+            parent,
+            depth,
+            members,
+            wave_nodes,
+            wave_offsets,
+            wave_depths,
+        }
     }
 
     /// The route's root (the group's sequencing arbiter).
@@ -209,8 +254,8 @@ impl MulticastRoute {
     }
 
     /// The members' local indices in declared member order — the order
-    /// arrival lists are produced in, mirroring
-    /// [`Fabric::multicast`](crate::Fabric::multicast)'s member order.
+    /// [`Fabric::multicast_route_into`](crate::Fabric::multicast_route_into)
+    /// lists arrivals in.
     pub fn member_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.members.iter().map(|&i| i as usize)
     }
@@ -249,24 +294,28 @@ impl MulticastRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fabric, LinkTiming, MeshTorus2d, Ring, SpanningTree, Star};
+    use crate::{Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, Ring, Star};
     use sesame_sim::SimTime;
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
     }
 
-    #[test]
-    fn union_of_paths_is_a_tree_with_shortest_depths() {
-        let topo = MeshTorus2d::new(6, 6);
-        let members: Vec<NodeId> = [0u32, 7, 14, 21, 35].map(n).to_vec();
-        let route = MulticastRoute::build(&topo, n(0), &members);
+    fn arrivals(f: &mut Fabric, route: &MulticastRoute, bytes: u32) -> Vec<(NodeId, SimTime)> {
+        let mut out = Vec::new();
+        f.multicast_route_into(SimTime::ZERO, route, bytes, &mut out);
+        out
+    }
+
+    /// Asserts `route` is a tree whose depths are shortest-path hops from
+    /// its root and whose parents precede their children.
+    fn assert_shortest_path_tree(topo: &dyn Topology, route: &MulticastRoute) {
         assert_eq!(route.edge_count(), route.len() - 1);
         for i in 0..route.len() {
             assert_eq!(
                 route.depth_of(i),
-                topo.hops(n(0), route.node(i)),
-                "node {}",
+                topo.hops(route.root(), route.node(i)),
+                "node {} of {topo:?}",
                 route.node(i)
             );
             if i > 0 {
@@ -274,6 +323,62 @@ mod tests {
                 assert_eq!(route.depth_of(route.parent_of(i)) + 1, route.depth_of(i));
             }
         }
+    }
+
+    #[test]
+    fn union_of_paths_is_a_tree_with_shortest_depths() {
+        let topo = MeshTorus2d::new(6, 6);
+        let members: Vec<NodeId> = [0u32, 7, 14, 21, 35].map(n).to_vec();
+        assert_shortest_path_tree(&topo, &MulticastRoute::build(&topo, n(0), &members));
+    }
+
+    #[test]
+    fn flood_depths_equal_shortest_paths_from_every_root() {
+        for topo in [
+            &MeshTorus2d::new(4, 4) as &dyn Topology,
+            &MeshTorus2d::with_nodes(7),
+            &Ring::new(9),
+            &Line::new(6),
+            &Star::new(6),
+            &FullMesh::new(5),
+        ] {
+            for r in 0..topo.len() as u32 {
+                let route = MulticastRoute::flood(topo, n(r), &[]);
+                assert_eq!(route.len(), topo.positions(), "{topo:?}");
+                assert_shortest_path_tree(topo, &route);
+            }
+        }
+    }
+
+    #[test]
+    fn flood_visits_every_position_once_in_breadth_first_order() {
+        let topo = MeshTorus2d::with_nodes(10); // 4x3 rectangle, 12 positions
+        let route = MulticastRoute::flood(&topo, n(2), &[]);
+        assert_eq!(route.node(0), n(2));
+        let mut seen: Vec<u32> = (0..route.len()).map(|i| route.node(i).get()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..12).collect::<Vec<_>>());
+        for i in 1..route.len() {
+            assert!(route.depth_of(i - 1) <= route.depth_of(i));
+        }
+    }
+
+    #[test]
+    fn flood_parents_are_the_first_neighbour_found() {
+        // From a star leaf, the hub is the only way in.
+        let topo = Star::new(5);
+        let route = MulticastRoute::flood(&topo, n(3), &[n(1)]);
+        let hub = (0..route.len()).find(|&i| route.node(i) == n(0)).unwrap();
+        let leaf = route.member_indices().next().unwrap();
+        assert_eq!(route.parent_of(hub), 0);
+        assert_eq!(route.parent_of(leaf), hub);
+        assert_eq!(route.depth_of(leaf), 2);
+        // On a ring, the root's first neighbour claims the far node on a
+        // tie.
+        let ring = Ring::new(4);
+        let route = MulticastRoute::flood(&ring, n(0), &[n(2)]);
+        let far = route.member_indices().next().unwrap();
+        assert_eq!(route.node(route.parent_of(far)), ring.neighbors(n(0))[0]);
     }
 
     #[test]
@@ -296,13 +401,13 @@ mod tests {
         ] {
             let root = n(1);
             let members: Vec<NodeId> = (0..topo.len() as u32).step_by(2).map(n).collect();
-            let tree = SpanningTree::build(topo, root);
+            let flood = MulticastRoute::flood(topo, root, &members);
             let route = MulticastRoute::build(topo, root, &members);
 
             let mut full = Fabric::new(LinkTiming::paper_1994());
-            let want = full.multicast(SimTime::ZERO, &tree, 125, &members);
+            let want = arrivals(&mut full, &flood, 125);
             let mut pruned = Fabric::new(LinkTiming::paper_1994());
-            let got = pruned.multicast_route(SimTime::ZERO, &route, 125);
+            let got = arrivals(&mut pruned, &route, 125);
 
             assert_eq!(got, want, "topo {topo:?}");
             // The pruned route never traverses more edges than the flood.
@@ -319,30 +424,33 @@ mod tests {
         // Declared order deliberately scrambles depths so the arena has to
         // regroup without reordering within a depth.
         let members: Vec<NodeId> = [3u32, 0, 1, 11, 2, 19].map(n).to_vec();
-        let route = MulticastRoute::build(&topo, n(0), &members);
-
         // Reference grouping: declared order filtered per depth.
         let mut by_depth: std::collections::BTreeMap<u32, Vec<NodeId>> =
             std::collections::BTreeMap::new();
         for &m in &members {
             by_depth.entry(topo.hops(n(0), m)).or_default().push(m);
         }
-        assert_eq!(route.wave_count(), by_depth.len());
-        for (w, (depth, want)) in by_depth.iter().enumerate() {
-            assert_eq!(route.wave_depth(w), *depth);
-            assert_eq!(route.wave(w), &want[..], "wave at depth {depth}");
+        for route in [
+            MulticastRoute::build(&topo, n(0), &members),
+            MulticastRoute::flood(&topo, n(0), &members),
+        ] {
+            assert_eq!(route.wave_count(), by_depth.len());
+            for (w, (depth, want)) in by_depth.iter().enumerate() {
+                assert_eq!(route.wave_depth(w), *depth);
+                assert_eq!(route.wave(w), &want[..], "wave at depth {depth}");
+            }
+            let total: usize = (0..route.wave_count()).map(|w| route.wave(w).len()).sum();
+            assert_eq!(total, route.member_count());
+            assert_eq!(route.max_depth(), *by_depth.keys().last().unwrap());
         }
-        let total: usize = (0..route.wave_count()).map(|w| route.wave(w).len()).sum();
-        assert_eq!(total, route.member_count());
-        assert_eq!(route.max_depth(), *by_depth.keys().last().unwrap());
     }
 
     #[test]
     fn waves_match_arrival_time_grouping() {
         // The contract the dispatch fast path relies on: with cut-through
         // timing and nonzero hop latency, grouping members by arrival time
-        // (what the event layer used to compute per multicast) equals
-        // grouping by hop depth (what the arena precomputes once).
+        // (what the fabric computes per multicast) equals grouping by hop
+        // depth (what the arena precomputes once).
         for topo in [
             &MeshTorus2d::new(6, 5) as &dyn Topology,
             &Ring::new(11),
@@ -352,11 +460,10 @@ mod tests {
             let members: Vec<NodeId> = (0..topo.len() as u32).rev().map(n).collect();
             let route = MulticastRoute::build(topo, root, &members);
             let mut fabric = Fabric::new(LinkTiming::paper_1994());
-            let arrivals = fabric.multicast_route(SimTime::ZERO, &route, 125);
 
             let mut by_time: std::collections::BTreeMap<SimTime, Vec<NodeId>> =
                 std::collections::BTreeMap::new();
-            for (m, at) in arrivals {
+            for (m, at) in arrivals(&mut fabric, &route, 125) {
                 by_time.entry(at).or_default().push(m);
             }
             assert_eq!(route.wave_count(), by_time.len(), "topo {topo:?}");
@@ -379,9 +486,13 @@ mod tests {
     #[test]
     fn empty_member_list_has_no_waves() {
         let topo = Ring::new(4);
-        let route = MulticastRoute::build(&topo, n(1), &[]);
-        assert_eq!(route.wave_count(), 0);
-        assert_eq!(route.max_depth(), 0);
+        for route in [
+            MulticastRoute::build(&topo, n(1), &[]),
+            MulticastRoute::flood(&topo, n(1), &[]),
+        ] {
+            assert_eq!(route.wave_count(), 0);
+            assert_eq!(route.max_depth(), 0);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Randomized tests of the interconnect layer over every topology: route
-//! validity, hop symmetry, spanning-tree shortest paths, fabric timing
+//! validity, hop symmetry, flood-route shortest paths, fabric timing
 //! monotonicity, and per-link FIFO under store-and-forward contention.
 //!
 //! Cases are drawn from the kernel's own deterministic [`DetRng`] so the
@@ -7,8 +7,8 @@
 //! on every run.
 
 use sesame_net::{
-    ContentionModel, Fabric, FullMesh, Hypercube, Line, LinkTiming, MeshTorus2d, NodeId, Ring,
-    SpanningTree, Star, Topology,
+    ContentionModel, Fabric, FullMesh, Hypercube, Line, LinkTiming, MeshTorus2d, MulticastRoute,
+    NodeId, Ring, Star, Topology,
 };
 use sesame_sim::{DetRng, SimTime};
 
@@ -58,8 +58,9 @@ fn routes_are_valid_on_every_topology() {
     }
 }
 
-/// Spanning trees reach every position at shortest-path depth with
-/// consistent parent/child links, from any root.
+/// Flood routes are spanning trees: they reach every position once, at
+/// shortest-path depth, with each parent one hop above its child, from
+/// any root.
 #[test]
 fn spanning_trees_are_shortest_path_trees() {
     let mut rng = DetRng::new(0xB0B);
@@ -68,20 +69,27 @@ fn spanning_trees_are_shortest_path_trees() {
         let nodes = rng.next_range(2, 24) as usize;
         let root = n(rng.next_below(nodes as u64) as u32);
         let topo = make_topology(kind, nodes);
-        let tree = SpanningTree::build(topo.as_ref(), root);
-        assert_eq!(tree.len(), topo.positions());
-        for m in 0..topo.len() as u32 {
-            let m = n(m);
-            assert_eq!(tree.depth(m), topo.hops(root, m));
-            if m != root {
-                let p = tree.parent(m).expect("non-root parent");
-                assert_eq!(tree.depth(m), tree.depth(p) + 1);
-                assert!(tree.children(p).contains(&m));
+        let members: Vec<NodeId> = (0..topo.len() as u32).map(n).collect();
+        let route = MulticastRoute::flood(topo.as_ref(), root, &members);
+        assert_eq!(route.len(), topo.positions());
+        assert_eq!(route.edge_count(), topo.positions() - 1);
+        assert_eq!(route.node(0), root);
+        let mut seen = vec![false; topo.positions()];
+        for i in 0..route.len() {
+            let m = route.node(i);
+            assert!(!seen[m.index()], "position {m} visited twice");
+            seen[m.index()] = true;
+            assert_eq!(route.depth_of(i), topo.hops(root, m));
+            if i > 0 {
+                let p = route.parent_of(i);
+                assert!(p < i, "parents precede children");
+                assert_eq!(route.depth_of(i), route.depth_of(p) + 1);
+                assert!(topo.neighbors(route.node(p)).contains(&m));
             }
         }
-        let order = tree.bfs_order();
-        assert_eq!(order.len(), topo.positions());
-        assert_eq!(order[0], root);
+        // Members map to their own positions, in declared order.
+        let got: Vec<NodeId> = route.member_indices().map(|i| route.node(i)).collect();
+        assert_eq!(got, members);
     }
 }
 
@@ -147,8 +155,9 @@ fn store_and_forward_is_fifo_and_never_faster() {
     }
 }
 
-/// Multicast arrivals are ordered by tree depth and each member's
-/// arrival is no earlier than a direct unicast could make it.
+/// Multicast arrivals are ordered by tree depth, each member's arrival
+/// is no earlier than a direct unicast could make it, the flood bills each
+/// tree edge once, and a pruned route never bills more than the flood.
 #[test]
 fn multicast_arrivals_follow_tree_depth() {
     let mut rng = DetRng::new(0xD00D);
@@ -158,10 +167,11 @@ fn multicast_arrivals_follow_tree_depth() {
         let root = n(rng.next_below(nodes as u64) as u32);
         let bytes = rng.next_range(1, 999) as u32;
         let topo = make_topology(kind, nodes);
-        let tree = SpanningTree::build(topo.as_ref(), root);
         let members: Vec<NodeId> = (0..topo.len() as u32).map(n).collect();
+        let flood = MulticastRoute::flood(topo.as_ref(), root, &members);
         let mut f = Fabric::new(LinkTiming::paper_1994());
-        let arrivals = f.multicast(SimTime::ZERO, &tree, bytes, &members);
+        let mut arrivals = Vec::new();
+        f.multicast_route_into(SimTime::ZERO, &flood, bytes, &mut arrivals);
         assert_eq!(arrivals.len(), members.len());
         for (m, at) in &arrivals {
             if *m == root {
@@ -169,9 +179,28 @@ fn multicast_arrivals_follow_tree_depth() {
             } else {
                 let expect = SimTime::ZERO
                     + LinkTiming::paper_1994().serialization(bytes)
-                    + sesame_sim::SimDur::from_nanos(200) * tree.depth(*m) as u64;
+                    + sesame_sim::SimDur::from_nanos(200) * topo.hops(root, *m) as u64;
                 assert_eq!(*at, expect, "member {m}");
             }
         }
+        assert_eq!(f.stats().link_traversals, topo.positions() as u64 - 1);
+
+        // A random member subset: the pruned route delivers at the same
+        // instants for fewer (or equal) edges.
+        let subset: Vec<NodeId> = members
+            .iter()
+            .copied()
+            .filter(|_| rng.next_below(2) == 0)
+            .collect();
+        let flood = MulticastRoute::flood(topo.as_ref(), root, &subset);
+        let pruned = MulticastRoute::build(topo.as_ref(), root, &subset);
+        let mut full = Fabric::new(LinkTiming::paper_1994());
+        let mut want = Vec::new();
+        full.multicast_route_into(SimTime::ZERO, &flood, bytes, &mut want);
+        let mut thin = Fabric::new(LinkTiming::paper_1994());
+        let mut got = Vec::new();
+        thin.multicast_route_into(SimTime::ZERO, &pruned, bytes, &mut got);
+        assert_eq!(got, want);
+        assert!(thin.stats().link_traversals <= full.stats().link_traversals);
     }
 }

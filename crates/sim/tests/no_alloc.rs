@@ -5,32 +5,48 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! drives the same record calls the simulation hot path makes and asserts
-//! the allocation counter does not move. (The sim crate itself forbids
+//! the calling thread's allocation counter does not move. (The sim crate itself forbids
 //! unsafe code; this integration test is its own crate, and the allocator
 //! shim is the one place unsafe is warranted.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceRecorder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Thread-local so that the test
+    /// harness and sibling tests running on other threads cannot leak
+    /// into a measured window. Const-initialized with no destructor, so
+    /// touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is unavailable while the thread is torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -41,10 +57,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
 
 /// One of each canonical (typed, `Copy`) detail the protocol layers emit.
 fn canonical_details() -> [TraceDetail; 13] {

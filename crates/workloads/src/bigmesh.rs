@@ -16,7 +16,7 @@
 //! * slab/slot protocol state keeps per-(group, member) bookkeeping dense
 //!   (about `3N` member slots here) instead of hashing per step;
 //! * [`MachineConfig::pruned_multicast`] routes each row's multicasts over
-//!   the row's own links only and batches each wavefront into one queue
+//!   the row's own links only and delivers each wavefront as one queue
 //!   event — without it, every multicast would flood all `O(N)` positions,
 //!   making one lap quadratic in machine size.
 //!
@@ -367,9 +367,8 @@ pub fn run_bigmesh(cfg: BigMeshConfig) -> BigMeshRun {
 }
 
 /// Like [`run_bigmesh`] but with explicit protocol toggles — the
-/// equivalence suites run the same scenario with full-tree flooding, the
-/// static-wave fast path, or the payload pool disabled and assert
-/// identical outcomes.
+/// equivalence suites run the same scenario over the flood instead of
+/// pruned routes and assert identical delivery times.
 pub fn run_bigmesh_configured(cfg: BigMeshConfig, machine_cfg: MachineConfig) -> BigMeshRun {
     let progress: Progress = Rc::new(RefCell::new((0, 0)));
     let (machine, rows) = assemble(&cfg, machine_cfg, Some(&progress));
@@ -474,41 +473,26 @@ mod tests {
 
     #[test]
     fn pruned_routing_preserves_makespan() {
-        // The same system with full-tree flooding instead of pruned routes:
+        // The same system over the flood instead of pruned routes (and so
+        // one queue event per member instead of one per static wave):
         // arrival times are depth-determined either way under cut-through,
-        // so the makespan and visit count must agree exactly — only the
-        // traffic accounting and event count differ.
-        let pruned = run_bigmesh(tiny(24));
-        let full = run_bigmesh_configured(tiny(24), MachineConfig::default());
-        assert_eq!(full.outcome, RunOutcome::Drained);
-        assert_eq!(pruned.end, full.end, "arrival times must be identical");
-        assert_eq!(pruned.visits, full.visits);
-        // Pruned routes traverse fewer links; batching processes fewer
-        // events.
-        assert!(pruned.fabric.link_traversals < full.fabric.link_traversals);
-        assert!(pruned.events < full.events);
-    }
-
-    #[test]
-    fn static_waves_match_generic_wave_construction() {
-        // The fast path indexes topology-static wave slices; the generic
-        // path groups fabric-computed arrival times per multicast. Under
-        // the scenario's contention-free loss-free timing they must agree
-        // on everything observable.
-        let fast = run_bigmesh(tiny(48));
-        let generic = run_bigmesh_configured(
-            tiny(48),
-            MachineConfig {
-                pruned_multicast: true,
-                static_waves: false,
-                ..MachineConfig::default()
-            },
-        );
-        assert_eq!(fast.outcome, RunOutcome::Drained);
-        assert_eq!(fast.end, generic.end);
-        assert_eq!(fast.events, generic.events);
-        assert_eq!(fast.visits, generic.visits);
-        assert_eq!(fast.fabric, generic.fabric);
+        // so the makespan, visit count and packet count must agree exactly
+        // — only the traffic bill and event count differ.
+        for nodes in [24, 48] {
+            let pruned = run_bigmesh(tiny(nodes));
+            let full = run_bigmesh_configured(tiny(nodes), MachineConfig::default());
+            assert_eq!(pruned.outcome, RunOutcome::Drained);
+            assert_eq!(full.outcome, RunOutcome::Drained);
+            assert_eq!(pruned.end, full.end, "arrival times must be identical");
+            assert_eq!(pruned.visits, full.visits);
+            assert_eq!(pruned.fabric.packets, full.fabric.packets);
+            assert_eq!(pruned.fabric.bytes, full.fabric.bytes);
+            // Pruned routes traverse fewer links; wave events process
+            // fewer events.
+            assert!(pruned.fabric.link_traversals < full.fabric.link_traversals);
+            assert!(pruned.fabric.ser_ns < full.fabric.ser_ns);
+            assert!(pruned.events < full.events);
+        }
     }
 
     #[test]
@@ -538,7 +522,7 @@ mod tests {
     #[test]
     fn machine_build_is_cheap_without_runs() {
         // Lazy routing structures: assembling a (scaled-down stand-in for
-        // the) large machine allocates no spanning trees at all.
+        // the) large machine builds no multicast routes at all.
         let machine = build_bigmesh_machine(tiny(2_000));
         assert_eq!(machine.node_count(), 2_000);
         assert!(machine.groups().len() > 2_000, "O(N) groups materialized");

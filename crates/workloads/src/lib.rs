@@ -17,6 +17,8 @@
 //! * [`contention`] — rollback / contention sweeps (the Figure 7 regime at
 //!   scale) used by the ablation benches;
 //! * [`experiments`] — sweep runners that produce the figures' series;
+//! * [`config`] — typed validation of workload parameters
+//!   ([`config::ConfigError`]);
 //! * [`telemetry`] — scenario drivers wired to the `sesame-telemetry`
 //!   collector (metrics snapshots and Chrome-trace timelines).
 
@@ -25,6 +27,7 @@
 
 pub mod bigmesh;
 pub mod canonical;
+pub mod config;
 pub mod contention;
 pub mod experiments;
 pub mod pipeline;

@@ -9,10 +9,13 @@
 //! rounds each contender performs. Both runs share the same warm-up
 //! (byte-identical schedules until the short run's contenders stop), so
 //! the long run's extra rounds are pure steady state — its allocation
-//! total must EQUAL the short run's, not merely stay close.
+//! total must EQUAL the short run's, not merely stay close. The proof
+//! covers both multicast dispatch shapes: pruned routes with static
+//! waves, and the flood with one packet event per member. The counter is
+//! per thread, so nothing outside the measured run can move it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use sesame_dsm::{
     lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
@@ -22,24 +25,40 @@ use sesame_net::{LinkTiming, NodeId, Ring, Topology};
 use sesame_sim::SimDur;
 
 /// Counts every heap allocation (alloc, alloc_zeroed, realloc) made by
-/// this test binary.
+/// the calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Thread-local so that the test
+    /// harness and sibling tests running on other threads cannot leak
+    /// into a measured window. Const-initialized with no destructor, so
+    /// touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is unavailable while the thread is torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -84,9 +103,9 @@ fn contender(rounds: u32, think_ns: u64) -> Box<dyn Program> {
     })
 }
 
-/// Runs `contenders` hammers for `rounds` rounds each over the flattened
-/// dispatch path and returns (allocations during the run, final counter).
-fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
+/// Runs `contenders` hammers for `rounds` rounds each under `cfg` and
+/// returns (allocations during the run, final counter).
+fn measured_run(cfg: MachineConfig, contenders: u32, rounds: u32) -> (u64, u64) {
     let topo: Box<dyn Topology> = Box::new(Ring::new(contenders as usize + 1));
     let nodes = topo.len();
     let groups = GroupTable::new(vec![GroupSpec {
@@ -102,12 +121,6 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     for _ in 0..contenders {
         programs.push(contender(rounds, 500));
     }
-    let cfg = MachineConfig {
-        pruned_multicast: true,
-        static_waves: true,
-        payload_pool: true,
-        ..MachineConfig::default()
-    };
     let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
     machine.init_var(v(LOCK), lockval::FREE);
     // Bound root retransmission history, exactly as the big scaling
@@ -115,7 +128,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     // one entry per sequenced write forever.
     machine.model_mut().set_history_window(Some(16));
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let result = run(
         machine,
         RunOptions {
@@ -124,7 +137,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
             ..RunOptions::default()
         },
     );
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocs = allocations() - before;
     let counter = result.machine.mem(n(1)).read(v(COUNTER));
     assert_eq!(
         counter,
@@ -134,21 +147,25 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     (allocs, counter as u64)
 }
 
-/// NOTE: both measurements live in one #[test] so no sibling test thread
-/// can pollute the process-global allocation counter mid-measurement.
 #[test]
 fn steady_state_dispatch_allocates_nothing() {
-    let (short_allocs, short_count) = measured_run(4, 10);
-    let (long_allocs, long_count) = measured_run(4, 60);
-    assert!(long_count > short_count * 5, "long run really ran longer");
-    // Warm-up (route construction, queue slab growth, scratch capacity)
-    // is identical in both runs; the 200 extra critical sections of the
-    // long run must not add a single allocation.
-    assert_eq!(
-        long_allocs,
-        short_allocs,
-        "steady-state dispatch allocated: {} allocations over {} extra rounds",
-        long_allocs.saturating_sub(short_allocs),
-        long_count - short_count,
-    );
+    let pruned = MachineConfig {
+        pruned_multicast: true,
+        ..MachineConfig::default()
+    };
+    for (shape, cfg) in [("pruned", pruned), ("flood", MachineConfig::default())] {
+        let (short_allocs, short_count) = measured_run(cfg, 4, 10);
+        let (long_allocs, long_count) = measured_run(cfg, 4, 60);
+        assert!(long_count > short_count * 5, "long run really ran longer");
+        // Warm-up (route construction, queue slab growth, scratch
+        // capacity) is identical in both runs; the 200 extra critical
+        // sections of the long run must not add a single allocation.
+        assert_eq!(
+            long_allocs,
+            short_allocs,
+            "{shape}: steady-state dispatch allocated: {} allocations over {} extra rounds",
+            long_allocs.saturating_sub(short_allocs),
+            long_count - short_count,
+        );
+    }
 }

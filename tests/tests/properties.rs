@@ -275,8 +275,8 @@ fn task_queue_conserves_tasks() {
 }
 
 /// Torus routing invariants: path length equals hop count, hops are
-/// symmetric, and the spanning tree reaches everything at shortest
-/// depth from any root.
+/// symmetric, and the flood route reaches everything at shortest depth
+/// from any root.
 #[test]
 fn torus_routing_invariants() {
     let mut rng = DetRng::new(0x7040);
@@ -288,9 +288,10 @@ fn torus_routing_invariants() {
         assert_eq!(topo.route(a, b).len() as u32, topo.hops(a, b));
         assert_eq!(topo.hops(a, b), topo.hops(b, a));
         let root = n(rng.next_below(nodes as u64) as u32);
-        let tree = sesame_net::SpanningTree::build(&topo, root);
-        for m in 0..nodes as u32 {
-            assert_eq!(tree.depth(n(m)), topo.hops(root, n(m)));
+        let route = sesame_net::MulticastRoute::flood(&topo, root, &[]);
+        assert_eq!(route.len(), topo.positions());
+        for i in 0..route.len() {
+            assert_eq!(route.depth_of(i), topo.hops(root, route.node(i)));
         }
     }
 }
