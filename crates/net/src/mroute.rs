@@ -351,6 +351,22 @@ mod tests {
     }
 
     #[test]
+    fn flood_parent_child_relations_are_consistent() {
+        let topo = MeshTorus2d::new(4, 4);
+        let route = MulticastRoute::flood(&topo, n(5), &[]);
+        assert_eq!(route.node(0), n(5));
+        for i in 1..route.len() {
+            let (child, p) = (route.node(i), route.parent_of(i));
+            assert_ne!(child, n(5), "the root appears once, first");
+            assert!(
+                topo.neighbors(route.node(p)).contains(&child),
+                "parent of {child} is a neighbour"
+            );
+            assert_eq!(route.depth_of(i), route.depth_of(p) + 1);
+        }
+    }
+
+    #[test]
     fn flood_visits_every_position_once_in_breadth_first_order() {
         let topo = MeshTorus2d::with_nodes(10); // 4x3 rectangle, 12 positions
         let route = MulticastRoute::flood(&topo, n(2), &[]);
